@@ -19,6 +19,12 @@
 //!   `serde_json::serialization_count` counter.
 //! * `compression` — wire bytes per update for None / Quant8 / TopKDelta
 //!   on the paper's forecaster, with the Quant8 ratio gated at ≈8x.
+//! * `encode_race` — races the uplink encoders (lane-parallel EVQ8 range
+//!   fold + slice encode; partition-based top-k) against the reference
+//!   loops they replaced, inlined below like the legacy JSON metering.
+//!   Payloads must be byte-identical (checked on NaN-poisoned updates
+//!   too); full runs also gate the speedups at relative floors, so host
+//!   speed cancels out.
 //!
 //! Usage: `cargo run --release --bin bench_comms [output-path] [--smoke]`
 //!
@@ -519,6 +525,231 @@ fn race_fastpath(
 }
 
 // ---------------------------------------------------------------------------
+// Section 4: encoders vs the reference loops they replaced (schema v3).
+// ---------------------------------------------------------------------------
+
+/// The reference EVQ8 encoder: a serial `f64::min`/`max` range fold over
+/// the finite values, then a per-value encode that diverts each non-finite
+/// value to the verbatim specials. Writes the whole payload into `out`.
+fn reference_quantized_payload(
+    weights: &[Matrix],
+    codes: &mut Vec<u8>,
+    specials: &mut Vec<(u32, f64)>,
+    out: &mut Vec<u8>,
+) {
+    out.clear();
+    out.extend_from_slice(&wire::QUANT_MAGIC);
+    out.extend_from_slice(&wire::VERSION.to_le_bytes());
+    out.extend_from_slice(&(weights.len() as u32).to_le_bytes());
+    for m in weights {
+        let mut min = f64::INFINITY;
+        let mut max = f64::NEG_INFINITY;
+        for &v in m.as_slice() {
+            if v.is_finite() {
+                min = min.min(v);
+                max = max.max(v);
+            }
+        }
+        if min > max {
+            min = 0.0;
+            max = 0.0;
+        }
+        let range = max - min;
+        let step = if range > 0.0 { range / 255.0 } else { 0.0 };
+        codes.clear();
+        specials.clear();
+        codes.extend(m.as_slice().iter().enumerate().map(|(i, &v)| {
+            if !v.is_finite() {
+                specials.push((i as u32, v));
+                0
+            } else if step == 0.0 {
+                0
+            } else {
+                ((v - min) / step).round().clamp(0.0, 255.0) as u8
+            }
+        }));
+        out.extend_from_slice(&(m.rows() as u32).to_le_bytes());
+        out.extend_from_slice(&(m.cols() as u32).to_le_bytes());
+        out.extend_from_slice(&min.to_le_bytes());
+        out.extend_from_slice(&step.to_le_bytes());
+        out.extend_from_slice(&(specials.len() as u32).to_le_bytes());
+        out.extend_from_slice(codes);
+        for &(i, v) in specials.iter() {
+            out.extend_from_slice(&i.to_le_bytes());
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+}
+
+/// The reference EVSK encoder: sort every non-zero delta by (magnitude
+/// descending, NaN as ∞, index ascending), truncate to `k`, and sort the
+/// survivors by index. Writes the whole payload into `out`.
+fn reference_sparse_payload(
+    update: &[Matrix],
+    base: &[Matrix],
+    k: usize,
+    picked: &mut Vec<(u32, f64)>,
+    out: &mut Vec<u8>,
+) {
+    out.clear();
+    out.extend_from_slice(&wire::SPARSE_MAGIC);
+    out.extend_from_slice(&wire::VERSION.to_le_bytes());
+    out.extend_from_slice(&(update.len() as u32).to_le_bytes());
+    for (u, b) in update.iter().zip(base) {
+        picked.clear();
+        picked.extend(
+            u.as_slice()
+                .iter()
+                .zip(b.as_slice())
+                .enumerate()
+                .map(|(i, (&uv, &bv))| (i as u32, uv - bv))
+                .filter(|&(_, d)| d != 0.0),
+        );
+        if picked.len() > k {
+            let magnitude = |d: f64| if d.is_nan() { f64::INFINITY } else { d.abs() };
+            picked.sort_unstable_by(|a, b| {
+                magnitude(b.1)
+                    .partial_cmp(&magnitude(a.1))
+                    .expect("magnitudes are never NaN")
+                    .then(a.0.cmp(&b.0))
+            });
+            picked.truncate(k);
+            picked.sort_unstable_by_key(|&(i, _)| i);
+        }
+        out.extend_from_slice(&(u.rows() as u32).to_le_bytes());
+        out.extend_from_slice(&(u.cols() as u32).to_le_bytes());
+        out.extend_from_slice(&(picked.len() as u32).to_le_bytes());
+        for &(i, d) in picked.iter() {
+            out.extend_from_slice(&i.to_le_bytes());
+            out.extend_from_slice(&d.to_le_bytes());
+        }
+    }
+}
+
+struct EncodeRace {
+    mode: &'static str,
+    reference_mb_s: f64,
+    encoder_mb_s: f64,
+    speedup: f64,
+}
+
+/// Every tensor with a NaN, a +∞ and a −∞ planted at spread positions, so
+/// the byte-identity gate also covers the specials path.
+fn poisoned(weights: &[Matrix]) -> Vec<Matrix> {
+    weights
+        .iter()
+        .map(|m| {
+            let mut m = m.clone();
+            let n = m.len();
+            let data = m.as_mut_slice();
+            for (at, v) in [
+                (0, f64::NAN),
+                (n / 3, f64::INFINITY),
+                (n - 1, f64::NEG_INFINITY),
+            ] {
+                data[at] = v;
+            }
+            m
+        })
+        .collect()
+}
+
+/// Races the production uplink encoders against the reference loops.
+/// Payloads are gated byte-identical always; full runs also enforce the
+/// relative throughput floors.
+fn race_encoders(
+    weights: &[Matrix],
+    global: &[Matrix],
+    clients: usize,
+    k: usize,
+    reps: usize,
+    inner: usize,
+    full: bool,
+) -> Vec<EncodeRace> {
+    let per_client: Vec<Vec<Matrix>> = (0..clients).map(|c| client_weights(weights, c)).collect();
+    let raw_bytes = clients * wire::encoded_size(weights);
+    let mut scratch = CodecScratch::default();
+    let mut buf = wire::BytesMut::new();
+    let mut codes = Vec::new();
+    let mut specials = Vec::new();
+    let mut picked = Vec::new();
+    let mut reference = Vec::new();
+
+    let poisoned = poisoned(weights);
+    for w in per_client.iter().chain([&poisoned]) {
+        QuantizedUpdate::quantize_into(w, &mut scratch.quant);
+        wire::encode_quantized_into(&mut buf, &scratch.quant);
+        reference_quantized_payload(w, &mut codes, &mut specials, &mut reference);
+        assert!(
+            buf[..] == reference[..],
+            "EVQ8 encoder diverged from the reference quantiser"
+        );
+        SparseDelta::top_k_into(w, global, k, &mut scratch.picked, &mut scratch.sparse);
+        wire::encode_sparse_into(&mut buf, &scratch.sparse);
+        reference_sparse_payload(w, global, k, &mut picked, &mut reference);
+        assert!(
+            buf[..] == reference[..],
+            "EVSK encoder diverged from the reference sort-then-truncate top-k"
+        );
+    }
+
+    let quant_reference = mb_per_s(raw_bytes, inner, reps, || {
+        for w in &per_client {
+            reference_quantized_payload(w, &mut codes, &mut specials, &mut reference);
+        }
+        reference.len()
+    });
+    let quant_encoder = mb_per_s(raw_bytes, inner, reps, || {
+        for w in &per_client {
+            QuantizedUpdate::quantize_into(w, &mut scratch.quant);
+            wire::encode_quantized_into(&mut buf, &scratch.quant);
+        }
+        buf.len()
+    });
+    let topk_reference = mb_per_s(raw_bytes, inner, reps, || {
+        for w in &per_client {
+            reference_sparse_payload(w, global, k, &mut picked, &mut reference);
+        }
+        reference.len()
+    });
+    let topk_encoder = mb_per_s(raw_bytes, inner, reps, || {
+        for w in &per_client {
+            SparseDelta::top_k_into(w, global, k, &mut scratch.picked, &mut scratch.sparse);
+            wire::encode_sparse_into(&mut buf, &scratch.sparse);
+        }
+        buf.len()
+    });
+    let race = |mode, reference_mb_s: f64, encoder_mb_s: f64| EncodeRace {
+        mode,
+        reference_mb_s,
+        encoder_mb_s,
+        speedup: encoder_mb_s / reference_mb_s,
+    };
+    let results = vec![
+        race("quant8", quant_reference, quant_encoder),
+        race("topk", topk_reference, topk_encoder),
+    ];
+    // Floors sit well under the measured ratios (see EXPERIMENTS.md) so a
+    // noisy or slower host still passes, while losing the vectorised fold
+    // and slice encode, or going back to a full sort, fails.
+    if full {
+        for (r, floor) in results.iter().zip([ENCODE_FLOOR_QUANT8, ENCODE_FLOOR_TOPK]) {
+            assert!(
+                r.speedup >= floor,
+                "{} encoder came in at {:.2}x the reference loops — below the {floor}x floor",
+                r.mode,
+                r.speedup
+            );
+        }
+    }
+    results
+}
+
+/// Minimum encoder-vs-reference speedups enforced by full runs.
+const ENCODE_FLOOR_QUANT8: f64 = 2.0;
+const ENCODE_FLOOR_TOPK: f64 = 2.0;
+
+// ---------------------------------------------------------------------------
 // Harness.
 // ---------------------------------------------------------------------------
 
@@ -577,8 +808,16 @@ fn main() {
         );
     }
 
+    let encode = race_encoders(&weights, &global, clients, k, reps, inner, !smoke);
+    for e in &encode {
+        println!(
+            "encode   {:<8} reference {:>8.1} MB/s   encoder {:>8.1} MB/s   speedup {:>4.2}x",
+            e.mode, e.reference_mb_s, e.encoder_mb_s, e.speedup
+        );
+    }
+
     if smoke {
-        println!("smoke ok: codecs byte-exact, metering path JSON-free, fused fold bitwise, warm rounds allocation-free");
+        println!("smoke ok: codecs byte-exact, metering path JSON-free, fused fold bitwise, warm rounds allocation-free, encoders match their references");
         return;
     }
 
@@ -625,11 +864,36 @@ fn main() {
             )
         })
         .collect();
+    let encode_entries: Vec<String> = encode
+        .iter()
+        .map(|e| {
+            format!(
+                concat!(
+                    "    {{\n",
+                    "      \"mode\": \"{}\",\n",
+                    "      \"reference_mb_s\": {:.1},\n",
+                    "      \"encoder_mb_s\": {:.1},\n",
+                    "      \"speedup\": {:.2},\n",
+                    "      \"floor\": {:.1}\n",
+                    "    }}"
+                ),
+                e.mode,
+                e.reference_mb_s,
+                e.encoder_mb_s,
+                e.speedup,
+                if e.mode == "quant8" {
+                    ENCODE_FLOOR_QUANT8
+                } else {
+                    ENCODE_FLOOR_TOPK
+                },
+            )
+        })
+        .collect();
     let json = format!(
         concat!(
             "{{\n",
             "  \"bench\": \"comms\",\n",
-            "  \"schema\": 2,\n",
+            "  \"schema\": 3,\n",
             "  \"host_cpus\": {},\n",
             "  \"reps\": {},\n",
             "  \"model\": \"forecaster LSTM({})\",\n",
@@ -648,7 +912,8 @@ fn main() {
             "  \"fastpath\": {{\n",
             "    \"warm_round_matrix_allocs\": 0,\n",
             "    \"modes\": [\n{}\n    ]\n",
-            "  }}\n",
+            "  }},\n",
+            "  \"encode_race\": [\n{}\n  ]\n",
             "}}\n"
         ),
         host_cpus,
@@ -666,6 +931,7 @@ fn main() {
         metering.json_serializations,
         metering.wire_serializations,
         fastpath_entries.join(",\n"),
+        encode_entries.join(",\n"),
     );
     std::fs::write(&out_path, json).expect("write bench results");
     println!("wrote {out_path}");

@@ -95,7 +95,8 @@ impl QuantizedTensor {
     /// identical output to [`QuantizedTensor::quantize`] (which delegates
     /// here), but a warm caller pays zero allocations per tensor.
     pub fn quantize_into(m: &Matrix, out: &mut Self) {
-        let range = QuantRange::from_values(m.as_slice());
+        let values = m.as_slice();
+        let (range, finite) = QuantRange::fold(values);
         let Self {
             rows,
             cols,
@@ -109,18 +110,19 @@ impl QuantizedTensor {
         *cols = m.cols();
         *min = range.min;
         *step = range.step;
-        codes.clear();
+        codes.resize(values.len(), 0);
+        range.encode_slice(values, codes);
         special_idx.clear();
         special_val.clear();
-        codes.extend(m.as_slice().iter().enumerate().map(|(i, &v)| {
-            if !v.is_finite() {
-                special_idx.push(i as u32);
-                special_val.push(v);
-                0
-            } else {
-                range.encode(v)
+        if !finite {
+            for (i, (&v, code)) in values.iter().zip(codes.iter_mut()).enumerate() {
+                if !v.is_finite() {
+                    special_idx.push(i as u32);
+                    special_val.push(v);
+                    *code = 0;
+                }
             }
-        }));
+        }
     }
 
     /// The shared-range view of this tensor's header fields.
@@ -301,10 +303,14 @@ impl SparseDelta {
 
     /// Builds the top-`k` delta into `out`, reusing its index/value buffers
     /// and the caller's `picked` selection scratch — identical output to
-    /// [`SparseDelta::top_k`] (which delegates here; the selection sorts
-    /// are unstable but the comparators are total orders over distinct
-    /// indices, so the result is the same), with zero allocations once the
-    /// buffers have seen the model's density.
+    /// [`SparseDelta::top_k`] (which delegates here), with zero allocations
+    /// once the buffers have seen the model's density.
+    ///
+    /// Selection partitions rather than sorts: `select_nth_unstable_by`
+    /// moves the `k` winners to the front under a total order over
+    /// distinct indices (magnitude descending, NaN as ∞, index ascending),
+    /// so the winning set is unique, and only those `k` are then sorted by
+    /// index.
     ///
     /// # Panics
     ///
@@ -338,12 +344,13 @@ impl SparseDelta {
             );
             if picked.len() > k {
                 let magnitude = |d: f64| if d.is_nan() { f64::INFINITY } else { d.abs() };
-                picked.sort_unstable_by(|a, b| {
-                    magnitude(b.1)
-                        .partial_cmp(&magnitude(a.1))
-                        .expect("magnitudes are never NaN")
-                        .then(a.0.cmp(&b.0))
-                });
+                if let Some(last) = k.checked_sub(1) {
+                    picked.select_nth_unstable_by(last, |a, b| {
+                        magnitude(b.1)
+                            .total_cmp(&magnitude(a.1))
+                            .then(a.0.cmp(&b.0))
+                    });
+                }
                 picked.truncate(k);
                 picked.sort_unstable_by_key(|&(i, _)| i);
             }
@@ -681,7 +688,7 @@ mod tests {
             SparseDelta::top_k_into(&update, &base, k, &mut picked, &mut scratch);
             assert_eq!(scratch, SparseDelta::top_k(&update, &base, k), "k = {k}");
         }
-        // NaN floods and exact ties go through the same unstable sorts.
+        // NaN floods and exact ties go through the same unstable selection.
         let tie_base = vec![Matrix::zeros(1, 6)];
         let mut tie_update = tie_base.clone();
         for v in tie_update[0].as_mut_slice().iter_mut() {

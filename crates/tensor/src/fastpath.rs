@@ -348,9 +348,10 @@ impl QuantizedPanel {
             let w = NR_Q8.min(n - j0);
             let dst = &mut codes[j0 * k..j0 * k + k * w];
             for kk in 0..k {
-                for (jj, &v) in src[kk * n + j0..kk * n + j0 + w].iter().enumerate() {
-                    dst[kk * w + jj] = range.encode(v);
-                }
+                range.encode_slice(
+                    &src[kk * n + j0..kk * n + j0 + w],
+                    &mut dst[kk * w..kk * w + w],
+                );
             }
             j0 += w;
         }
