@@ -12,13 +12,19 @@
 //!   equality is what lets the round loop meter without serialising.
 //! * `metering` — races one federated round-schedule of traffic accounting
 //!   (broadcast to every client + one uplink per client, paper schedule)
-//!   through the legacy `MeteredChannel::record` (serialises the full
-//!   weight set to JSON per message) versus the new path (encode the
-//!   broadcast once per round, O(1) arithmetic per uplink). The new path is
-//!   asserted to perform **zero** JSON serialisations via the process-wide
-//!   `serde_json::serialization_count` counter.
+//!   through the legacy JSON metering, inlined below (serialise the full
+//!   weight set to JSON per message to learn its size), versus the wire
+//!   path (encode the broadcast once per round, O(1) arithmetic per
+//!   uplink). The wire path is asserted to perform **zero** JSON
+//!   serialisations via the process-wide `serde_json::serialization_count`
+//!   counter.
 //! * `compression` — wire bytes per update for None / Quant8 / TopKDelta
 //!   on the paper's forecaster, with the Quant8 ratio gated at ≈8x.
+//! * `fastpath` — races the fused decode-into-fold against the
+//!   materializing decode the socket server runs
+//!   (`CodecScratch::decode_payload`, then `ingest`). The two passes are
+//!   interleaved within each rep and full runs gate the median of the
+//!   per-rep ratios, so a host-speed drift between reps cancels out.
 //! * `encode_race` — races the uplink encoders (lane-parallel EVQ8 range
 //!   fold + slice encode; partition-based top-k) against the reference
 //!   loops they replaced, inlined below like the legacy JSON metering.
@@ -31,7 +37,7 @@
 //! `--smoke` runs a tiny model with few repetitions and skips the JSON
 //! dump — the CI gate that the codecs and the counter stay honest.
 
-use evfad_core::federated::compression::{QuantizedUpdate, SparseDelta};
+use evfad_core::federated::compression::{CompressionMode, QuantizedUpdate, SparseDelta};
 use evfad_core::federated::transport::MeteredChannel;
 use evfad_core::federated::wire;
 use evfad_core::federated::{Aggregator, CodecScratch, LocalUpdate};
@@ -174,16 +180,17 @@ fn gate_codecs(weights: &[Matrix], global: &[Matrix], k: usize, full: bool) -> V
 // Section 2: metering race.
 // ---------------------------------------------------------------------------
 
-/// The pre-PR-5 accounting: serialise every payload to JSON to learn its
-/// size — once per broadcast recipient, once per uplink.
+/// The legacy JSON accounting: serialise every payload to JSON to learn
+/// its size — once per broadcast recipient, once per uplink.
 fn baseline_metering(weights: &[Matrix], clients: usize, rounds: usize) -> usize {
+    let json_len = || serde_json::to_vec(weights).map_or(0, |v| v.len());
     let channel = MeteredChannel::new();
     for _ in 0..rounds {
         for _ in 0..clients {
-            channel.record(weights); // broadcast copy
+            channel.record_bytes(json_len()); // broadcast copy
         }
         for _ in 0..clients {
-            channel.record_attempts(weights, 1); // uplink
+            channel.record_attempts_bytes(json_len(), 1); // uplink
         }
     }
     channel.totals().bytes
@@ -290,6 +297,56 @@ fn client_weights(weights: &[Matrix], c: usize) -> Vec<Matrix> {
         .collect()
 }
 
+/// An interleaved race of two passes over the same `bytes_per_pass` input.
+struct PairRace {
+    /// Median-of-reps throughput of the first pass, MB/s.
+    a_mb_s: f64,
+    /// Median-of-reps throughput of the second pass, MB/s.
+    b_mb_s: f64,
+    /// Median of the per-rep `time(b) / time(a)` ratios.
+    a_over_b: f64,
+}
+
+/// Times `a` and `b` back to back within every rep, alternating which goes
+/// first, so both see the same host state; the per-rep ratio then cancels
+/// drift that separate median-of-reps runs would compare across.
+fn race_pair<T>(
+    bytes_per_pass: usize,
+    inner: usize,
+    reps: usize,
+    mut a: impl FnMut() -> T,
+    mut b: impl FnMut() -> T,
+) -> PairRace {
+    black_box(a()); // warm caches and buffers before timing
+    black_box(b());
+    let time = |pass: &mut dyn FnMut() -> T| {
+        let start = Instant::now();
+        for _ in 0..inner {
+            black_box(pass());
+        }
+        start.elapsed().as_secs_f64()
+    };
+    let (mut a_times, mut b_times, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for rep in 0..reps {
+        let (ta, tb) = if rep % 2 == 0 {
+            let ta = time(&mut a);
+            (ta, time(&mut b))
+        } else {
+            let tb = time(&mut b);
+            (time(&mut a), tb)
+        };
+        a_times.push(ta);
+        b_times.push(tb);
+        ratios.push(tb / ta);
+    }
+    let mb_s = |times| (bytes_per_pass * inner) as f64 / median(times) / 1e6;
+    PairRace {
+        a_mb_s: mb_s(a_times),
+        b_mb_s: mb_s(b_times),
+        a_over_b: median(ratios),
+    }
+}
+
 /// Median-of-reps throughput for `pass`, in MB/s of `bytes_per_pass` input.
 fn mb_per_s<T>(
     bytes_per_pass: usize,
@@ -322,12 +379,11 @@ fn codec_round(
     sbuf: &mut wire::BytesMut,
     decoded: &mut Vec<Matrix>,
 ) -> usize {
-    QuantizedUpdate::quantize_into(weights, &mut scratch.quant);
-    wire::encode_quantized_into(qbuf, &scratch.quant);
-    scratch.quant.dequantize_into(decoded);
-    SparseDelta::top_k_into(weights, global, k, &mut scratch.picked, &mut scratch.sparse);
-    wire::encode_sparse_into(sbuf, &scratch.sparse);
-    scratch.sparse.apply_into(global, decoded);
+    let topk = CompressionMode::TopKDelta { k };
+    scratch.encode_payload(CompressionMode::Quant8, weights, global, qbuf);
+    scratch.decode_into(CompressionMode::Quant8, global, decoded);
+    scratch.encode_payload(topk, weights, global, sbuf);
+    scratch.decode_into(topk, global, decoded);
     qbuf.len() + sbuf.len()
 }
 
@@ -370,9 +426,10 @@ fn assert_warm_rounds_alloc_free(weights: &[Matrix], global: &[Matrix], k: usize
 }
 
 /// Races the fused decode-into-fold (`ingest_quantized` / `ingest_topk`)
-/// against the materializing path (decode the payload, reconstruct the full
-/// `Vec<Matrix>`, then `ingest`). Gated bitwise-identical always; the
-/// throughput floor (fused ≥ 1.5× materializing) is enforced in full runs.
+/// against the materializing path the socket server runs
+/// (`CodecScratch::decode_payload` into a fresh `Vec<Matrix>`, then
+/// `ingest`). Gated bitwise-identical always; full runs enforce the
+/// throughput floors on the median of the per-rep ratios.
 fn race_fastpath(
     weights: &[Matrix],
     global: &[Matrix],
@@ -395,6 +452,20 @@ fn race_fastpath(
         simulated_extra_seconds: 0.0,
     };
 
+    // Uplink encode throughput of the production codec path.
+    let encode_mb_s = |mode| {
+        let mut scratch = CodecScratch::default();
+        let mut buf = wire::BytesMut::new();
+        mb_per_s(raw_bytes, inner, reps, || {
+            let mut len = 0usize;
+            for w in &per_client {
+                scratch.encode_payload(mode, w, global, &mut buf);
+                len += buf.len();
+            }
+            len
+        })
+    };
+
     // --- Quant8 ---
     let q_payloads: Vec<Vec<u8>> = per_client
         .iter()
@@ -415,7 +486,8 @@ fn race_fastpath(
             .streaming(total, clients)
             .expect("FedAvg streams");
         for (id, p) in ids.iter().zip(&q_payloads) {
-            let decoded = wire::decode_quantized(p).expect("EVQ8 decode").dequantize();
+            let decoded = CodecScratch::decode_payload(CompressionMode::Quant8, p, global)
+                .expect("EVQ8 decode");
             agg.ingest(&update(id, decoded)).expect("ingest");
         }
         agg.finish().expect("finish")
@@ -425,32 +497,18 @@ fn race_fastpath(
         wire::encode_weights(&materialized_quant()),
         "fused quantized fold diverged from decode-then-ingest"
     );
-    let fused_mb_s = mb_per_s(q_bytes, inner, reps, fused_quant);
-    let materialized_mb_s = mb_per_s(q_bytes, inner, reps, materialized_quant);
-    let encode_mb_s = {
-        let mut scratch = CodecScratch::default();
-        let mut buf = wire::BytesMut::new();
-        mb_per_s(raw_bytes, inner, reps, move || {
-            let mut len = 0usize;
-            for w in &per_client {
-                QuantizedUpdate::quantize_into(w, &mut scratch.quant);
-                wire::encode_quantized_into(&mut buf, &scratch.quant);
-                len += buf.len();
-            }
-            len
-        })
-    };
+    let race = race_pair(q_bytes, inner, reps, fused_quant, materialized_quant);
     let quant = FastpathResult {
         mode: "quant8",
         payload_bytes: q_bytes / clients,
-        fused_mb_s,
-        materialized_mb_s,
-        speedup: fused_mb_s / materialized_mb_s,
-        encode_mb_s,
+        fused_mb_s: race.a_mb_s,
+        materialized_mb_s: race.b_mb_s,
+        speedup: race.a_over_b,
+        encode_mb_s: encode_mb_s(CompressionMode::Quant8),
     };
 
     // --- TopKDelta ---
-    let per_client: Vec<Vec<Matrix>> = (0..clients).map(|c| client_weights(weights, c)).collect();
+    let topk_mode = CompressionMode::TopKDelta { k };
     let s_payloads: Vec<Vec<u8>> = per_client
         .iter()
         .map(|w| wire::encode_sparse(&SparseDelta::top_k(w, global, k)).to_vec())
@@ -470,7 +528,7 @@ fn race_fastpath(
             .streaming(total, clients)
             .expect("FedAvg streams");
         for (id, p) in ids.iter().zip(&s_payloads) {
-            let decoded = wire::decode_sparse(p).expect("EVSK decode").apply(global);
+            let decoded = CodecScratch::decode_payload(topk_mode, p, global).expect("EVSK decode");
             agg.ingest(&update(id, decoded)).expect("ingest");
         }
         agg.finish().expect("finish")
@@ -480,28 +538,14 @@ fn race_fastpath(
         wire::encode_weights(&materialized_topk()),
         "fused top-k fold diverged from decode-then-ingest"
     );
-    let fused_mb_s = mb_per_s(s_bytes, inner, reps, fused_topk);
-    let materialized_mb_s = mb_per_s(s_bytes, inner, reps, materialized_topk);
-    let encode_mb_s = {
-        let mut scratch = CodecScratch::default();
-        let mut buf = wire::BytesMut::new();
-        mb_per_s(raw_bytes, inner, reps, move || {
-            let mut len = 0usize;
-            for w in &per_client {
-                SparseDelta::top_k_into(w, global, k, &mut scratch.picked, &mut scratch.sparse);
-                wire::encode_sparse_into(&mut buf, &scratch.sparse);
-                len += buf.len();
-            }
-            len
-        })
-    };
+    let race = race_pair(s_bytes, inner, reps, fused_topk, materialized_topk);
     let topk = FastpathResult {
         mode: "topk",
         payload_bytes: s_bytes / clients,
-        fused_mb_s,
-        materialized_mb_s,
-        speedup: fused_mb_s / materialized_mb_s,
-        encode_mb_s,
+        fused_mb_s: race.a_mb_s,
+        materialized_mb_s: race.b_mb_s,
+        speedup: race.a_over_b,
+        encode_mb_s: encode_mb_s(topk_mode),
     };
 
     // Floors: quant8 carries the headline ≥1.5x decode-path claim (the
@@ -509,7 +553,8 @@ fn race_fastpath(
     // allocation per update that the fused fold skips entirely). Top-k's
     // dominant cost — the dense base fold — is shared by both paths, so
     // its ceiling is structurally near parity; it is gated at no material
-    // regression (0.9, leaving headroom for timer noise around 1.0x).
+    // regression (0.9, leaving headroom for timer noise around 1.0x). Both
+    // floors gate the median per-rep ratio of the interleaved race.
     let results = vec![quant, topk];
     if full {
         for (r, floor) in results.iter().zip([1.5, 0.9]) {
@@ -676,16 +721,15 @@ fn race_encoders(
     let mut reference = Vec::new();
 
     let poisoned = poisoned(weights);
+    let topk = CompressionMode::TopKDelta { k };
     for w in per_client.iter().chain([&poisoned]) {
-        QuantizedUpdate::quantize_into(w, &mut scratch.quant);
-        wire::encode_quantized_into(&mut buf, &scratch.quant);
+        scratch.encode_payload(CompressionMode::Quant8, w, global, &mut buf);
         reference_quantized_payload(w, &mut codes, &mut specials, &mut reference);
         assert!(
             buf[..] == reference[..],
             "EVQ8 encoder diverged from the reference quantiser"
         );
-        SparseDelta::top_k_into(w, global, k, &mut scratch.picked, &mut scratch.sparse);
-        wire::encode_sparse_into(&mut buf, &scratch.sparse);
+        scratch.encode_payload(topk, w, global, &mut buf);
         reference_sparse_payload(w, global, k, &mut picked, &mut reference);
         assert!(
             buf[..] == reference[..],
@@ -701,8 +745,7 @@ fn race_encoders(
     });
     let quant_encoder = mb_per_s(raw_bytes, inner, reps, || {
         for w in &per_client {
-            QuantizedUpdate::quantize_into(w, &mut scratch.quant);
-            wire::encode_quantized_into(&mut buf, &scratch.quant);
+            scratch.encode_payload(CompressionMode::Quant8, w, global, &mut buf);
         }
         buf.len()
     });
@@ -714,8 +757,7 @@ fn race_encoders(
     });
     let topk_encoder = mb_per_s(raw_bytes, inner, reps, || {
         for w in &per_client {
-            SparseDelta::top_k_into(w, global, k, &mut scratch.picked, &mut scratch.sparse);
-            wire::encode_sparse_into(&mut buf, &scratch.sparse);
+            scratch.encode_payload(topk, w, global, &mut buf);
         }
         buf.len()
     });

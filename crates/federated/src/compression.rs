@@ -19,6 +19,7 @@
 //! pays nothing for this; a fully non-finite tensor degenerates to the
 //! verbatim list (correctness over ratio under attack).
 
+use crate::wire::{self, BytesMut, WireError};
 use evfad_tensor::quant::QuantRange;
 use evfad_tensor::Matrix;
 use serde::{Deserialize, Serialize};
@@ -149,14 +150,13 @@ impl QuantizedTensor {
         if out.shape() != (self.rows, self.cols) {
             *out = Matrix::zeros(self.rows, self.cols);
         }
-        let range = self.range();
-        let data = out.as_mut_slice();
-        for (slot, &c) in data.iter_mut().zip(&self.codes) {
-            *slot = range.decode(c);
-        }
-        for (&i, &v) in self.special_idx.iter().zip(&self.special_val) {
-            data[i as usize] = v;
-        }
+        let specials = self.special_idx.iter().map(|&i| i as usize);
+        dequantize_slice(
+            self.range(),
+            &self.codes,
+            specials.zip(self.special_val.iter().copied()),
+            out.as_mut_slice(),
+        );
     }
 
     /// Worst-case absolute reconstruction error over finite values (half a
@@ -394,10 +394,8 @@ impl SparseDelta {
                 Some(m) => *m = b.clone(),
                 None => out.push(b.clone()),
             }
-            let data = out[i].as_mut_slice();
-            for (&idx, &v) in t.indices.iter().zip(&t.values) {
-                data[idx as usize] += v;
-            }
+            let entries = t.indices.iter().copied().zip(t.values.iter().copied());
+            add_entries(entries, out[i].as_mut_slice());
         }
     }
 
@@ -415,13 +413,50 @@ impl SparseDelta {
     }
 }
 
-/// Caller-owned scratch for the allocation-free encode path.
+/// Writes the decoded coefficients of one quantized tensor into `out`:
+/// `range.decode(code)` everywhere, then each `(flat index, value)`
+/// special verbatim. The one dequantize loop, shared by the owned tensor
+/// and the wire-payload decode.
+fn dequantize_slice(
+    range: QuantRange,
+    codes: &[u8],
+    specials: impl Iterator<Item = (usize, f64)>,
+    out: &mut [f64],
+) {
+    for (slot, &c) in out.iter_mut().zip(codes) {
+        *slot = range.decode(c);
+    }
+    for (i, v) in specials {
+        out[i] = v;
+    }
+}
+
+/// Adds sparse `(flat index, delta)` entries onto `out`, which holds the
+/// base tensor — the one `base + delta` loop, shared by the owned delta
+/// and the wire-payload decode.
+fn add_entries(entries: impl Iterator<Item = (u32, f64)>, out: &mut [f64]) {
+    for (idx, v) in entries {
+        out[idx as usize] += v;
+    }
+}
+
+/// Caller-owned scratch for the allocation-free encode path, and the one
+/// place the [`CompressionMode`] codec dispatch lives.
 ///
 /// Holds the reusable compressed representations the `*_into` codec entry
 /// points fill. One `CodecScratch` lives per round loop, socket client, or
 /// scale-engine worker; after the first (cold) round every re-encode
 /// reuses the buffers, so warm-round encoding performs zero codec
 /// allocations — the comms bench gate pins this.
+///
+/// * [`CodecScratch::encoded_len`] fills the scratch and prices the
+///   payload (the in-process meter);
+/// * [`CodecScratch::encode_payload`] also writes the payload bytes (the
+///   socket client and the scale engine's edge fold);
+/// * [`CodecScratch::decode_payload`] turns received payload bytes back
+///   into weights (the socket server);
+/// * [`CodecScratch::decode_into`] decodes the scratch itself, skipping
+///   the bytes (the in-process path).
 #[derive(Debug, Clone, Default)]
 pub struct CodecScratch {
     /// Reused quantized representation (per-tensor code + special buffers).
@@ -446,14 +481,84 @@ impl CodecScratch {
         global: &[Matrix],
     ) -> usize {
         match mode {
-            CompressionMode::None => crate::wire::encoded_size(weights),
+            CompressionMode::None => wire::encoded_size(weights),
             CompressionMode::Quant8 => {
                 QuantizedUpdate::quantize_into(weights, &mut self.quant);
-                crate::wire::quantized_encoded_size(&self.quant)
+                wire::quantized_encoded_size(&self.quant)
             }
             CompressionMode::TopKDelta { k } => {
                 SparseDelta::top_k_into(weights, global, k, &mut self.picked, &mut self.sparse);
-                crate::wire::sparse_encoded_size(&self.sparse)
+                wire::sparse_encoded_size(&self.sparse)
+            }
+        }
+    }
+
+    /// Encodes `weights` under `mode` into `buf`, clearing it first but
+    /// keeping its allocation: [`CodecScratch::encoded_len`] fills the
+    /// scratch, then the matching wire encoder writes exactly that many
+    /// bytes.
+    pub fn encode_payload(
+        &mut self,
+        mode: CompressionMode,
+        weights: &[Matrix],
+        global: &[Matrix],
+        buf: &mut BytesMut,
+    ) {
+        let len = self.encoded_len(mode, weights, global);
+        match mode {
+            CompressionMode::None => wire::encode_weights_into(buf, weights),
+            CompressionMode::Quant8 => wire::encode_quantized_into(buf, &self.quant),
+            CompressionMode::TopKDelta { .. } => wire::encode_sparse_into(buf, &self.sparse),
+        }
+        debug_assert_eq!(buf.len(), len, "encoded_len diverged from the payload");
+    }
+
+    /// Decodes an uplink `payload` encoded under `mode` into weight
+    /// matrices — the server side of [`CodecScratch::encode_payload`].
+    /// The format's validating view walks the whole payload before any
+    /// matrix is allocated, then each tensor is materialised straight from
+    /// the view, bit for bit what `dequantize` / `apply` produce. `global`
+    /// is the [`CompressionMode::TopKDelta`] base.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError`] on a malformed or truncated payload, or a top-k delta
+    /// whose tensor shapes differ from `global`'s.
+    pub fn decode_payload(
+        mode: CompressionMode,
+        payload: &[u8],
+        global: &[Matrix],
+    ) -> Result<Vec<Matrix>, WireError> {
+        match mode {
+            CompressionMode::None => wire::decode_weights(payload),
+            CompressionMode::Quant8 => {
+                let view = wire::quantized_view(payload)?;
+                let decoded = view.tensors().map(|t| {
+                    let (rows, cols) = t.shape();
+                    let mut m = Matrix::zeros(rows, cols);
+                    dequantize_slice(t.range(), t.codes(), t.specials(), m.as_mut_slice());
+                    m
+                });
+                Ok(decoded.collect())
+            }
+            CompressionMode::TopKDelta { .. } => {
+                let view = wire::sparse_view(payload)?;
+                let mismatch =
+                    WireError::InvalidRecord("sparse delta does not fit the global model");
+                if view.tensor_count() != global.len() {
+                    return Err(mismatch);
+                }
+                view.tensors()
+                    .zip(global)
+                    .map(|(t, b)| {
+                        if t.shape() != b.shape() {
+                            return Err(mismatch.clone());
+                        }
+                        let mut m = b.clone();
+                        add_entries(t.entries(), m.as_mut_slice());
+                        Ok(m)
+                    })
+                    .collect()
             }
         }
     }
@@ -713,18 +818,59 @@ mod tests {
     }
 
     #[test]
-    fn apply_into_matches_apply_without_fresh_clones() {
+    fn apply_into_matches_apply() {
+        // Its zero-allocation warm reuse is pinned in the counter-reading
+        // `workspace_reuse` integration binary.
         let (base, update) = base_and_update();
         let d = SparseDelta::top_k(&update, &base, 16);
         let mut out = Vec::new();
         d.apply_into(&base, &mut out);
         assert_eq!(out, d.apply(&base));
-        // Warm reuse: same shapes, zero matrix allocations.
-        let before = evfad_tensor::alloc_stats();
         d.apply_into(&base, &mut out);
-        let delta = evfad_tensor::alloc_stats().since(&before);
-        assert_eq!(delta.matrices, 0, "warm apply_into allocated");
         assert_eq!(out, d.apply(&base));
+    }
+
+    fn bits(weights: &[Matrix]) -> Vec<u64> {
+        weights
+            .iter()
+            .flat_map(|m| m.as_slice().iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn payload_round_trip_matches_the_owned_decode_bitwise() {
+        let (base, mut update) = base_and_update();
+        update[0].as_mut_slice()[5] = f64::NAN;
+        update[1].as_mut_slice()[2] = f64::NEG_INFINITY;
+        let mut scratch = CodecScratch::default();
+        let mut buf = BytesMut::new();
+        for mode in [
+            CompressionMode::None,
+            CompressionMode::Quant8,
+            CompressionMode::TopKDelta { k: 2 },
+        ] {
+            scratch.encode_payload(mode, &update, &base, &mut buf);
+            assert_eq!(buf.len(), scratch.encoded_len(mode, &update, &base));
+            let decoded = CodecScratch::decode_payload(mode, &buf, &base).expect("decode");
+            let mut expected = update.clone();
+            scratch.decode_into(mode, &base, &mut expected);
+            assert_eq!(bits(&decoded), bits(&expected), "{mode}");
+        }
+    }
+
+    #[test]
+    fn topk_payload_that_does_not_fit_the_global_is_an_error() {
+        let (base, update) = base_and_update();
+        let topk = CompressionMode::TopKDelta { k: 2 };
+        let mut buf = BytesMut::new();
+        CodecScratch::default().encode_payload(topk, &update, &base, &mut buf);
+        let reshaped = [Matrix::zeros(5, 4), base[1].clone()];
+        for global in [&base[..1], &reshaped[..]] {
+            assert!(matches!(
+                CodecScratch::decode_payload(topk, &buf, global),
+                Err(WireError::InvalidRecord(_))
+            ));
+        }
     }
 
     #[test]

@@ -697,31 +697,17 @@ impl ScaleEngine {
             // real compressed payload (post-fault, so corruption crosses
             // the wire exactly as the protocol ships it) and stream it
             // into the accumulator without materialising a decode.
-            let ingested = match mode {
-                CompressionMode::None => {
-                    fold.kept_payload_bytes.push(raw_len);
-                    agg.ingest(&update)
-                }
-                CompressionMode::Quant8 => {
-                    crate::compression::QuantizedUpdate::quantize_into(
-                        &update.weights,
-                        &mut scratch.quant,
-                    );
-                    wire::encode_quantized_into(&mut payload, &scratch.quant);
-                    fold.kept_payload_bytes.push(payload.len());
-                    agg.ingest_quantized(&update.client_id, update.sample_count, &payload)
-                }
-                CompressionMode::TopKDelta { k } => {
-                    crate::compression::SparseDelta::top_k_into(
-                        &update.weights,
-                        global,
-                        k,
-                        &mut scratch.picked,
-                        &mut scratch.sparse,
-                    );
-                    wire::encode_sparse_into(&mut payload, &scratch.sparse);
-                    fold.kept_payload_bytes.push(payload.len());
-                    agg.ingest_topk(&update.client_id, update.sample_count, global, &payload)
+            let ingested = if mode == CompressionMode::None {
+                fold.kept_payload_bytes.push(raw_len);
+                agg.ingest(&update)
+            } else {
+                scratch.encode_payload(mode, &update.weights, global, &mut payload);
+                fold.kept_payload_bytes.push(payload.len());
+                let (id, samples) = (&update.client_id, update.sample_count);
+                if mode == CompressionMode::Quant8 {
+                    agg.ingest_quantized(id, samples, &payload)
+                } else {
+                    agg.ingest_topk(id, samples, global, &payload)
                 }
             };
             if let Err(e) = ingested {

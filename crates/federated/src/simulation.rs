@@ -485,18 +485,16 @@ impl RoundPool for InProcessPool<'_> {
             }
         };
         let updates: Result<Vec<LocalUpdate>, FederatedError> = if self.parallel {
-            let results: Vec<Result<LocalUpdate, FederatedError>> =
-                crossbeam::thread::scope(|scope| {
-                    let handles: Vec<_> = selected
-                        .into_iter()
-                        .map(|client| scope.spawn(move |_| train_one(client)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("client thread panicked"))
-                        .collect()
-                })
-                .expect("crossbeam scope");
+            let results: Vec<Result<LocalUpdate, FederatedError>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = selected
+                    .into_iter()
+                    .map(|client| scope.spawn(move || train_one(client)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("client thread panicked"))
+                    .collect()
+            });
             results.into_iter().collect()
         } else {
             selected.into_iter().map(train_one).collect()

@@ -42,24 +42,23 @@
 //! loop then reproduces the simulated attempt count on the wire.
 
 use crate::client::{FedClient, LocalUpdate};
-use crate::compression::{CodecScratch, CompressionMode, QuantizedUpdate, SparseDelta};
+use crate::compression::{CodecScratch, CompressionMode};
 use crate::engine::{self, PoolUpdate, RoundPool};
 use crate::error::FederatedError;
 use crate::faults::FaultKind;
 use crate::framing::{write_frame, FrameDecoder};
 use crate::simulation::{FederatedConfig, FederatedOutcome};
-use crate::transport::MeteredChannel;
+use crate::transport::{lock, MeteredChannel};
 use crate::wire::{self, Message};
 use bytes::{Bytes, BytesMut};
 use evfad_nn::{Sample, Sequential, TrainConfig};
 use evfad_tensor::Matrix;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -137,11 +136,11 @@ impl SocketTransport {
                     let Ok(write_half) = stream.try_clone() else {
                         continue;
                     };
-                    writers.lock().insert(id, write_half);
+                    lock(&writers).insert(id, write_half);
                     let tx = tx.clone();
                     let writers = Arc::clone(&writers);
                     let handle = std::thread::spawn(move || run_reader(stream, id, &tx, &writers));
-                    reader_handles.lock().push(handle);
+                    lock(&reader_handles).push(handle);
                 }
             })
         };
@@ -174,7 +173,7 @@ impl SocketTransport {
     /// write fails.
     pub fn send(&mut self, conn: u64, msg: &Message) -> Result<(), FederatedError> {
         wire::encode_message(&mut self.scratch, msg);
-        let mut writers = self.writers.lock();
+        let mut writers = lock(&self.writers);
         let stream = writers
             .get_mut(&conn)
             .ok_or_else(|| transport_err("send", format!("connection {conn} is gone")))?;
@@ -186,7 +185,7 @@ impl SocketTransport {
     /// reader thread observes the shutdown and emits
     /// [`TransportEvent::Disconnected`].
     pub fn kill(&self, conn: u64) {
-        if let Some(stream) = self.writers.lock().remove(&conn) {
+        if let Some(stream) = lock(&self.writers).remove(&conn) {
             let _ = stream.shutdown(Shutdown::Both);
         }
     }
@@ -213,13 +212,13 @@ impl Drop for SocketTransport {
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.local_addr);
         // Shut every live connection so reader threads hit EOF.
-        for (_, stream) in self.writers.lock().drain() {
+        for (_, stream) in lock(&self.writers).drain() {
             let _ = stream.shutdown(Shutdown::Both);
         }
         if let Some(handle) = self.accept_handle.take() {
             let _ = handle.join();
         }
-        for handle in self.reader_handles.lock().drain(..) {
+        for handle in lock(&self.reader_handles).drain(..) {
             let _ = handle.join();
         }
     }
@@ -258,7 +257,7 @@ fn run_reader(
             }
         }
     }
-    if let Some(s) = writers.lock().remove(&id) {
+    if let Some(s) = lock(writers).remove(&id) {
         let _ = s.shutdown(Shutdown::Both);
     }
     let _ = tx.send(TransportEvent::Disconnected(id));
@@ -312,46 +311,6 @@ impl MessageStream {
             self.decoder.feed(&buf[..n]);
         }
     }
-}
-
-/// Encodes one uplink payload exactly as the in-process path meters it:
-/// the same encoder, over the same (post-fault) weights, against the
-/// same global — so the byte length on the wire equals the byte length
-/// the simulation's arithmetic predicts. The compressed representation
-/// is built in the caller's [`CodecScratch`], so a client that uploads
-/// every round re-fills the same buffers instead of materializing a
-/// fresh `QuantizedUpdate`/`SparseDelta` per round.
-fn encode_uplink_payload(
-    mode: CompressionMode,
-    weights: &[Matrix],
-    global: &[Matrix],
-    scratch: &mut CodecScratch,
-) -> Bytes {
-    match mode {
-        CompressionMode::None => wire::encode_weights(weights),
-        CompressionMode::Quant8 => {
-            QuantizedUpdate::quantize_into(weights, &mut scratch.quant);
-            wire::encode_quantized(&scratch.quant)
-        }
-        CompressionMode::TopKDelta { k } => {
-            SparseDelta::top_k_into(weights, global, k, &mut scratch.picked, &mut scratch.sparse);
-            wire::encode_sparse(&scratch.sparse)
-        }
-    }
-}
-
-/// Server-side decode of an uplink payload into weight matrices.
-fn decode_uplink_payload(
-    mode: CompressionMode,
-    payload: &[u8],
-    global: &[Matrix],
-) -> Result<Vec<Matrix>, FederatedError> {
-    let decoded = match mode {
-        CompressionMode::None => wire::decode_weights(payload),
-        CompressionMode::Quant8 => wire::decode_quantized(payload).map(|q| q.dequantize()),
-        CompressionMode::TopKDelta { .. } => wire::decode_sparse(payload).map(|d| d.apply(global)),
-    };
-    decoded.map_err(|e| transport_err("uplink payload", e))
 }
 
 /// Knobs for a [`SocketServer`] beyond the shared [`FederatedConfig`].
@@ -672,7 +631,8 @@ impl RoundPool for SocketPool<'_> {
                     }
                     // Final arrival: decode and keep (the engine decides
                     // Keep vs Waste; either way the payload is metered).
-                    let weights = decode_uplink_payload(self.compression, &payload, global)?;
+                    let weights = CodecScratch::decode_payload(self.compression, &payload, global)
+                        .map_err(|e| transport_err("uplink payload", e))?;
                     entry.result = Some((
                         LocalUpdate {
                             client_id: client_id.clone(),
@@ -819,6 +779,7 @@ impl SocketClient {
         // Reused across rounds: warm uploads re-fill these codec buffers
         // instead of allocating a fresh compressed representation.
         let mut codec_scratch = CodecScratch::default();
+        let mut encoded = BytesMut::new();
 
         loop {
             match control.recv()? {
@@ -850,18 +811,21 @@ impl SocketClient {
                         }
                         _ => {}
                     }
-                    let payload = encode_uplink_payload(
+                    // The same encoder, over the same post-fault weights
+                    // and global, as the in-process path meters — so the
+                    // bytes on the wire equal its size arithmetic.
+                    codec_scratch.encode_payload(
                         config.compression,
                         &weights,
                         &global,
-                        &mut codec_scratch,
+                        &mut encoded,
                     );
                     let msg = Message::Update {
                         round,
                         client_id: client_id.clone(),
                         sample_count: update.sample_count as u64,
                         train_loss: update.train_loss,
-                        payload,
+                        payload: Bytes::copy_from_slice(&encoded),
                     };
                     self.upload_with_retries(addr, &msg, retry_budget, config.faults.as_ref())?;
                 }

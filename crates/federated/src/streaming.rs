@@ -153,39 +153,8 @@ impl Aggregator {
 
 /// Shape guard shared by the streaming rules: the first update pins the
 /// reference shapes; every later one must match, with the same error text
-/// as the batch path.
-fn check_shapes(
-    reference: &mut Vec<(usize, usize)>,
-    update: &LocalUpdate,
-) -> Result<(), FederatedError> {
-    if reference.is_empty() {
-        *reference = update.weights.iter().map(Matrix::shape).collect();
-        if reference.is_empty() {
-            return Err(FederatedError::Aggregation(format!(
-                "client {} sent an empty weight set",
-                update.client_id
-            )));
-        }
-        return Ok(());
-    }
-    let same = update.weights.len() == reference.len()
-        && update
-            .weights
-            .iter()
-            .zip(reference.iter())
-            .all(|(m, &s)| m.shape() == s);
-    if !same {
-        return Err(FederatedError::Aggregation(format!(
-            "client {} has mismatched weight shapes",
-            update.client_id
-        )));
-    }
-    Ok(())
-}
-
-/// [`check_shapes`] for the fused wire-payload paths: same pinning rule,
-/// same error texts, shapes drawn from a validated payload view instead of
-/// materialised matrices.
+/// as the batch path. The shapes come from materialised matrices or from a
+/// validated payload view alike.
 fn check_view_shapes(
     reference: &mut Vec<(usize, usize)>,
     client_id: &str,
@@ -285,7 +254,11 @@ impl StreamingFedAvg {
 impl StreamingAggregator for StreamingFedAvg {
     fn ingest(&mut self, update: &LocalUpdate) -> Result<(), FederatedError> {
         self.check_capacity()?;
-        check_shapes(&mut self.shapes, update)?;
+        check_view_shapes(
+            &mut self.shapes,
+            &update.client_id,
+            update.weights.iter().map(Matrix::shape),
+        )?;
         self.ensure_acc();
         // Exactly the batch fold: degenerate all-zero-sample federations
         // fall back to uniform weighting.
@@ -495,7 +468,11 @@ impl StreamingTrimmedMean {
 impl StreamingAggregator for StreamingTrimmedMean {
     fn ingest(&mut self, update: &LocalUpdate) -> Result<(), FederatedError> {
         self.check_capacity()?;
-        check_shapes(&mut self.shapes, update)?;
+        check_view_shapes(
+            &mut self.shapes,
+            &update.client_id,
+            update.weights.iter().map(Matrix::shape),
+        )?;
         self.ensure_state();
         let mut c = 0;
         for m in &update.weights {

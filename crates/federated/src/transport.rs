@@ -10,14 +10,17 @@
 //! / [`MeteredChannel::record_attempts_bytes`] entry points — the broadcast
 //! is encoded once per round and every uplink is measured by the exact
 //! byte length of the payload that crossed the channel, with zero JSON
-//! serialisation anywhere in the loop. The serialising
-//! [`MeteredChannel::record`] / [`MeteredChannel::record_attempts`] remain
-//! as the legacy JSON accounting that `bench_comms` races against.
+//! serialisation anywhere in the loop.
 
 use evfad_tensor::Matrix;
-use parking_lot::Mutex;
-use serde::Serialize;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// Locks `mutex`, recovering the guard if a thread panicked while holding
+/// it: every value this crate guards stays consistent between statements,
+/// so one panicked reader thread must not take the lock down with it.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Byte counters for one direction of traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -64,7 +67,7 @@ impl MeteredChannel {
     /// the channel (an encoded blob's `len()`, or exact size arithmetic
     /// like [`wire::encoded_size`](crate::wire::encoded_size)).
     pub fn record_bytes(&self, bytes: usize) {
-        let mut t = self.totals.lock();
+        let mut t = lock(&self.totals);
         t.messages += 1;
         t.bytes += bytes;
     }
@@ -78,41 +81,20 @@ impl MeteredChannel {
         if attempts == 0 {
             return;
         }
-        let mut t = self.totals.lock();
+        let mut t = lock(&self.totals);
         t.messages += attempts;
         t.bytes += bytes * attempts;
         t.retries += attempts - 1;
     }
 
-    /// Records one payload, measured by its serialised JSON size.
-    ///
-    /// Legacy path: serialises the entire payload just to count bytes.
-    /// The round loop no longer calls this — it meters wire bytes via
-    /// [`MeteredChannel::record_bytes`]; `bench_comms` keeps this method
-    /// honest as the baseline it races.
-    pub fn record<T: Serialize + ?Sized>(&self, payload: &T) {
-        let bytes = serde_json::to_vec(payload).map(|v| v.len()).unwrap_or(0);
-        self.record_bytes(bytes);
-    }
-
-    /// Records one payload sent `attempts` times, measured by its
-    /// serialised JSON size (legacy path; see [`MeteredChannel::record`]).
-    pub fn record_attempts<T: Serialize + ?Sized>(&self, payload: &T, attempts: usize) {
-        if attempts == 0 {
-            return;
-        }
-        let bytes = serde_json::to_vec(payload).map(|v| v.len()).unwrap_or(0);
-        self.record_attempts_bytes(bytes, attempts);
-    }
-
     /// Current counters.
     pub fn totals(&self) -> TrafficTotals {
-        *self.totals.lock()
+        *lock(&self.totals)
     }
 
     /// Resets the counters to zero.
     pub fn reset(&self) {
-        *self.totals.lock() = TrafficTotals::default();
+        *lock(&self.totals) = TrafficTotals::default();
     }
 }
 
@@ -140,11 +122,11 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let ch = MeteredChannel::new();
-        ch.record(&vec![1.0, 2.0, 3.0]);
-        ch.record(&"hello");
+        ch.record_bytes(24);
+        ch.record_bytes(5);
         let t = ch.totals();
         assert_eq!(t.messages, 2);
-        assert!(t.bytes > 10);
+        assert_eq!(t.bytes, 29);
     }
 
     #[test]
@@ -159,21 +141,9 @@ mod tests {
     }
 
     #[test]
-    fn record_matches_json_size() {
-        // The legacy path must still measure the real serialised payload.
-        let payload = vec![1.5f64, -2.25, 1e300];
-        let ch = MeteredChannel::new();
-        ch.record(&payload);
-        assert_eq!(
-            ch.totals().bytes,
-            serde_json::to_vec(&payload).unwrap().len()
-        );
-    }
-
-    #[test]
     fn reset_zeroes() {
         let ch = MeteredChannel::new();
-        ch.record(&42u32);
+        ch.record_bytes(4);
         ch.reset();
         assert_eq!(ch.totals(), TrafficTotals::default());
     }
@@ -182,24 +152,23 @@ mod tests {
     fn clones_share_counters() {
         let ch = MeteredChannel::new();
         let clone = ch.clone();
-        clone.record(&1u8);
+        clone.record_bytes(1);
         assert_eq!(ch.totals().messages, 1);
     }
 
     #[test]
     fn works_across_threads() {
         let ch = MeteredChannel::new();
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..4 {
                 let local = ch.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for _ in 0..10 {
                         local.record_bytes(64);
                     }
                 });
             }
-        })
-        .expect("threads");
+        });
         assert_eq!(ch.totals().messages, 40);
         assert_eq!(ch.totals().bytes, 40 * 64);
     }
@@ -215,22 +184,8 @@ mod tests {
     }
 
     #[test]
-    fn record_attempts_meters_every_attempt() {
-        let ch = MeteredChannel::new();
-        ch.record(&[1.0f64; 4]);
-        let single = ch.totals();
-        ch.reset();
-        ch.record_attempts(&[1.0f64; 4], 3);
-        let tripled = ch.totals();
-        assert_eq!(tripled.messages, 3);
-        assert_eq!(tripled.bytes, 3 * single.bytes);
-        assert_eq!(tripled.retries, 2);
-    }
-
-    #[test]
     fn record_attempts_zero_is_a_no_op() {
         let ch = MeteredChannel::new();
-        ch.record_attempts(&42u8, 0);
         ch.record_attempts_bytes(64, 0);
         assert_eq!(ch.totals(), TrafficTotals::default());
     }
@@ -238,7 +193,7 @@ mod tests {
     #[test]
     fn plain_record_never_counts_retries() {
         let ch = MeteredChannel::new();
-        ch.record(&1u8);
+        ch.record_bytes(1);
         ch.record_bytes(8);
         assert_eq!(ch.totals().retries, 0);
     }

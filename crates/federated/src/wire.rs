@@ -232,60 +232,31 @@ pub fn quantized_encoded_size(update: &QuantizedUpdate) -> usize {
     10 + update.byte_size()
 }
 
-/// Decodes a payload produced by [`encode_quantized`].
+/// Decodes a payload produced by [`encode_quantized`]: the
+/// [`quantized_view`] walker validates the whole payload first, then the
+/// view is copied into owned tensors — one parser per format.
 ///
 /// # Errors
 ///
 /// Returns [`WireError`] on a malformed or truncated payload.
-pub fn decode_quantized(mut payload: &[u8]) -> Result<QuantizedUpdate, WireError> {
-    let count = decode_header(&mut payload, QUANT_MAGIC)?;
-    let mut tensors = Vec::with_capacity(count);
-    for _ in 0..count {
-        need(payload, 28)?;
-        let rows = payload.get_u32_le();
-        let cols = payload.get_u32_le();
-        let elements = check_shape(rows, cols)?;
-        let min = payload.get_f64_le();
-        let step = payload.get_f64_le();
-        let special_count = payload.get_u32_le() as u64;
-        if special_count > elements {
-            return Err(WireError::InvalidRecord(
-                "quantized special count exceeds tensor elements",
-            ));
-        }
-        need(payload, (elements + special_count * 12) as usize)?;
-        let mut codes = vec![0u8; elements as usize];
-        payload.copy_to_slice(&mut codes);
-        let mut special_idx = Vec::with_capacity(special_count as usize);
-        let mut special_val = Vec::with_capacity(special_count as usize);
-        let mut prev: i64 = -1;
-        for _ in 0..special_count {
-            let idx = payload.get_u32_le();
-            if idx as u64 >= elements {
-                return Err(WireError::InvalidRecord(
-                    "quantized special index out of range",
-                ));
+pub fn decode_quantized(payload: &[u8]) -> Result<QuantizedUpdate, WireError> {
+    let view = quantized_view(payload)?;
+    let tensors = view
+        .tensors()
+        .map(|t| {
+            let (rows, cols) = t.shape();
+            let (special_idx, special_val) = t.specials().map(|(i, v)| (i as u32, v)).unzip();
+            QuantizedTensor {
+                rows,
+                cols,
+                min: t.range.min,
+                step: t.range.step,
+                codes: t.codes.to_vec(),
+                special_idx,
+                special_val,
             }
-            if i64::from(idx) <= prev {
-                return Err(WireError::InvalidRecord(
-                    "quantized special indices not strictly ascending",
-                ));
-            }
-            prev = i64::from(idx);
-            special_idx.push(idx);
-            special_val.push(payload.get_f64_le());
-        }
-        tensors.push(QuantizedTensor {
-            rows: rows as usize,
-            cols: cols as usize,
-            min,
-            step,
-            codes,
-            special_idx,
-            special_val,
-        });
-    }
-    finish_record(payload)?;
+        })
+        .collect();
     Ok(QuantizedUpdate { tensors })
 }
 
@@ -336,61 +307,38 @@ pub fn sparse_encoded_size(delta: &SparseDelta) -> usize {
     10 + delta.byte_size()
 }
 
-/// Decodes a payload produced by [`encode_sparse`].
+/// Decodes a payload produced by [`encode_sparse`]: [`sparse_view`]
+/// validation, then an owned copy of the view.
 ///
 /// # Errors
 ///
 /// Returns [`WireError`] on a malformed or truncated payload.
-pub fn decode_sparse(mut payload: &[u8]) -> Result<SparseDelta, WireError> {
-    let count = decode_header(&mut payload, SPARSE_MAGIC)?;
-    let mut tensors = Vec::with_capacity(count);
-    for _ in 0..count {
-        need(payload, 12)?;
-        let rows = payload.get_u32_le();
-        let cols = payload.get_u32_le();
-        let elements = check_shape(rows, cols)?;
-        let nnz = payload.get_u32_le() as u64;
-        if nnz > elements {
-            return Err(WireError::InvalidRecord(
-                "sparse nnz exceeds tensor elements",
-            ));
-        }
-        need(payload, (nnz * 12) as usize)?;
-        let mut indices = Vec::with_capacity(nnz as usize);
-        let mut values = Vec::with_capacity(nnz as usize);
-        let mut prev: i64 = -1;
-        for _ in 0..nnz {
-            let idx = payload.get_u32_le();
-            if idx as u64 >= elements {
-                return Err(WireError::InvalidRecord("sparse index out of range"));
+pub fn decode_sparse(payload: &[u8]) -> Result<SparseDelta, WireError> {
+    let view = sparse_view(payload)?;
+    let tensors = view
+        .tensors()
+        .map(|t| {
+            let (rows, cols) = t.shape();
+            let (indices, values) = t.entries().unzip();
+            SparseTensor {
+                rows,
+                cols,
+                indices,
+                values,
             }
-            if i64::from(idx) <= prev {
-                return Err(WireError::InvalidRecord(
-                    "sparse indices not strictly ascending",
-                ));
-            }
-            prev = i64::from(idx);
-            indices.push(idx);
-            values.push(payload.get_f64_le());
-        }
-        tensors.push(SparseTensor {
-            rows: rows as usize,
-            cols: cols as usize,
-            indices,
-            values,
-        });
-    }
-    finish_record(payload)?;
+        })
+        .collect();
     Ok(SparseDelta { tensors })
 }
 
 /// Validates an `EVQ8` payload structurally and returns a zero-copy view
-/// over it — the fused decode-into-fold path.
+/// over it — the only `EVQ8` parser: the fused decode-into-fold path reads
+/// the view directly, and [`decode_quantized`] copies it into owned form.
 ///
-/// Every check [`decode_quantized`] performs (header, shape bounds,
-/// special counts, index ranges, strictly-ascending special indices,
-/// trailing bytes) runs *up front*, before the caller touches any
-/// accumulator state: a corrupt payload errors here, never half-way
+/// Every check (header, shape bounds, special counts, index ranges,
+/// strictly-ascending special indices, trailing bytes) runs *up front*,
+/// before the caller touches any accumulator state or allocates anything
+/// sized from the header: a corrupt payload errors here, never half-way
 /// through a fold. The view then iterates infallibly, decoding each
 /// coefficient on the fly — no `Vec<Matrix>` materialization, no
 /// allocation at all.
@@ -424,7 +372,14 @@ pub fn quantized_view(payload: &[u8]) -> Result<QuantizedPayloadView<'_>, WireEr
         payload: body,
         remaining: count,
     };
-    while walker.next_tensor()?.is_some() {}
+    while let Some(t) = walker.next_tensor()? {
+        check_indices(
+            t.specials,
+            t.codes.len(),
+            "quantized special index out of range",
+            "quantized special indices not strictly ascending",
+        )?;
+    }
     finish_record(walker.payload)?;
     Ok(QuantizedPayloadView { body, count })
 }
@@ -575,9 +530,11 @@ impl Iterator for QuantizedValues<'_> {
 
 impl ExactSizeIterator for QuantizedValues<'_> {}
 
-/// Shared validating walker behind [`quantized_view`]: one pass for the
-/// up-front structural check, a fresh pass per [`QuantizedPayloadView::
-/// tensors`] call.
+/// The `EVQ8` walker: checks each tensor's header, shape bound, special
+/// count and length, and splits out its code and special regions. One
+/// pass (plus [`check_indices`]) is [`quantized_view`]'s up-front
+/// validation; a fresh pass per [`QuantizedPayloadView::tensors`] call
+/// re-splits the validated payload in O(1) per tensor.
 struct QuantWalker<'a> {
     payload: &'a [u8],
     remaining: usize,
@@ -605,23 +562,6 @@ impl<'a> QuantWalker<'a> {
         need(cur, (elements + special_count * 12) as usize)?;
         let (codes, cur) = cur.split_at(elements as usize);
         let (specials, rest) = cur.split_at((special_count * 12) as usize);
-        let mut walk = specials;
-        let mut prev: i64 = -1;
-        for _ in 0..special_count {
-            let idx = walk.get_u32_le();
-            if idx as u64 >= elements {
-                return Err(WireError::InvalidRecord(
-                    "quantized special index out of range",
-                ));
-            }
-            if i64::from(idx) <= prev {
-                return Err(WireError::InvalidRecord(
-                    "quantized special indices not strictly ascending",
-                ));
-            }
-            prev = i64::from(idx);
-            walk.advance(8);
-        }
         self.payload = rest;
         Ok(Some(QuantizedTensorView {
             rows: rows as usize,
@@ -635,9 +575,9 @@ impl<'a> QuantWalker<'a> {
 
 /// Validates an `EVSK` payload structurally and returns a zero-copy view
 /// over it — the sparse twin of [`quantized_view`], with the same
-/// contract: every [`decode_sparse`] check runs up front, and the view
-/// then iterates `(flat index, delta)` entries infallibly without
-/// materializing a [`SparseDelta`].
+/// contract: every check runs up front, and the view then iterates
+/// `(flat index, delta)` entries infallibly without materializing a
+/// [`SparseDelta`]. [`decode_sparse`] is this view copied into owned form.
 ///
 /// # Errors
 ///
@@ -650,7 +590,14 @@ pub fn sparse_view(payload: &[u8]) -> Result<SparsePayloadView<'_>, WireError> {
         payload: body,
         remaining: count,
     };
-    while walker.next_tensor()?.is_some() {}
+    while let Some(t) = walker.next_tensor()? {
+        check_indices(
+            t.entries,
+            t.rows * t.cols,
+            "sparse index out of range",
+            "sparse indices not strictly ascending",
+        )?;
+    }
     finish_record(walker.payload)?;
     Ok(SparsePayloadView { body, count })
 }
@@ -710,7 +657,7 @@ impl<'a> SparseTensorView<'a> {
     }
 }
 
-/// Shared validating walker behind [`sparse_view`].
+/// The `EVSK` walker, the sparse twin of [`QuantWalker`].
 struct SparseWalker<'a> {
     payload: &'a [u8],
     remaining: usize,
@@ -735,21 +682,6 @@ impl<'a> SparseWalker<'a> {
         }
         need(cur, (nnz * 12) as usize)?;
         let (entries, rest) = cur.split_at((nnz * 12) as usize);
-        let mut walk = entries;
-        let mut prev: i64 = -1;
-        for _ in 0..nnz {
-            let idx = walk.get_u32_le();
-            if idx as u64 >= elements {
-                return Err(WireError::InvalidRecord("sparse index out of range"));
-            }
-            if i64::from(idx) <= prev {
-                return Err(WireError::InvalidRecord(
-                    "sparse indices not strictly ascending",
-                ));
-            }
-            prev = i64::from(idx);
-            walk.advance(8);
-        }
         self.payload = rest;
         Ok(Some(SparseTensorView {
             rows: rows as usize,
@@ -757,6 +689,29 @@ impl<'a> SparseWalker<'a> {
             entries,
         }))
     }
+}
+
+/// Rejects `(index: u32, value: f64)` records whose flat index falls
+/// outside a tensor of `elements` coefficients or does not strictly
+/// ascend — the EVQ8 specials and EVSK entries share this layout.
+fn check_indices(
+    records: &[u8],
+    elements: usize,
+    out_of_range: &'static str,
+    not_ascending: &'static str,
+) -> Result<(), WireError> {
+    let mut next = 0usize;
+    for rec in records.chunks_exact(12) {
+        let idx = u32::from_le_bytes(rec[..4].try_into().expect("12-byte record")) as usize;
+        if idx >= elements {
+            return Err(WireError::InvalidRecord(out_of_range));
+        }
+        if idx < next {
+            return Err(WireError::InvalidRecord(not_ascending));
+        }
+        next = idx + 1;
+    }
+    Ok(())
 }
 
 /// Validates the common `magic | version | count` header and returns the

@@ -7,11 +7,11 @@
 //!    decoded *struct* re-encodes to the identical payload);
 //! 2. the O(1) `*_encoded_size` arithmetic equals the actual payload length
 //!    — this is what makes metering-by-arithmetic exact;
-//! 3. malformed inputs (every truncation point, corrupted magic) return a
-//!    [`WireError`], never panic.
+//! 3. malformed inputs (every truncation point, corrupted magic, a hostile
+//!    tensor count) return a [`WireError`], never panic or abort.
 
-use evfad_federated::compression::{QuantizedUpdate, SparseDelta};
-use evfad_federated::wire;
+use evfad_federated::compression::{CodecScratch, CompressionMode, QuantizedUpdate, SparseDelta};
+use evfad_federated::wire::{self, WireError};
 use evfad_tensor::Matrix;
 use proptest::prelude::*;
 
@@ -151,5 +151,53 @@ proptest! {
         let q = wire::encode_quantized(&QuantizedUpdate::quantize(&weights));
         prop_assert!(wire::decode_weights(&q).is_err());
         prop_assert!(wire::decode_sparse(&q).is_err());
+    }
+}
+
+/// The two hostile headers for a compressed format: a bare `magic |
+/// version | u32::MAX` header, and a valid one-tensor payload whose tensor
+/// count is raised to `u32::MAX`. A decoder that sizes anything from the
+/// count before validating it asks the allocator for hundreds of GiB.
+fn hostile_count_payloads(magic: [u8; 4], valid: &[u8]) -> [Vec<u8>; 2] {
+    let mut bare = magic.to_vec();
+    bare.extend_from_slice(&wire::VERSION.to_le_bytes());
+    bare.extend_from_slice(&u32::MAX.to_le_bytes());
+    let mut raised = valid.to_vec();
+    raised[6..10].copy_from_slice(&u32::MAX.to_le_bytes());
+    [bare, raised]
+}
+
+fn one_tensor_model() -> (Vec<Matrix>, Vec<Matrix>) {
+    let weights = vec![Matrix::from_fn(2, 3, |i, j| (i * 3 + j) as f64 * 0.5)];
+    let base = vec![Matrix::zeros(2, 3)];
+    (weights, base)
+}
+
+#[test]
+fn evq8_hostile_tensor_count_is_a_typed_error() {
+    let (weights, base) = one_tensor_model();
+    let valid = wire::encode_quantized(&QuantizedUpdate::quantize(&weights));
+    for payload in hostile_count_payloads(wire::QUANT_MAGIC, &valid) {
+        let decoded = wire::decode_quantized(&payload);
+        assert!(
+            matches!(decoded, Err(WireError::Truncated { .. })),
+            "{decoded:?}"
+        );
+        assert!(CodecScratch::decode_payload(CompressionMode::Quant8, &payload, &base).is_err());
+    }
+}
+
+#[test]
+fn evsk_hostile_tensor_count_is_a_typed_error() {
+    let (weights, base) = one_tensor_model();
+    let valid = wire::encode_sparse(&SparseDelta::top_k(&weights, &base, 4));
+    let topk = CompressionMode::TopKDelta { k: 4 };
+    for payload in hostile_count_payloads(wire::SPARSE_MAGIC, &valid) {
+        let decoded = wire::decode_sparse(&payload);
+        assert!(
+            matches!(decoded, Err(WireError::Truncated { .. })),
+            "{decoded:?}"
+        );
+        assert!(CodecScratch::decode_payload(topk, &payload, &base).is_err());
     }
 }

@@ -7,11 +7,16 @@
 //! T- and batch-proportional buffers all live in the reused workspaces.
 //!
 //! Reads the process-global counters from `evfad_tensor::alloc_stats()`, so
-//! this lives in its own integration-test binary.
+//! this lives in its own integration-test binary, and its tests serialise
+//! on a local mutex to keep the deltas attributable.
 
+use evfad_federated::compression::SparseDelta;
 use evfad_federated::FedClient;
 use evfad_nn::{forecaster_model, Sample, TrainConfig};
 use evfad_tensor::{alloc_stats, Matrix};
+use std::sync::Mutex;
+
+static GUARD: Mutex<()> = Mutex::new(());
 
 fn client_samples(offset: usize) -> Vec<Sample> {
     (0..16)
@@ -27,6 +32,7 @@ fn client_samples(offset: usize) -> Vec<Sample> {
 
 #[test]
 fn later_rounds_allocate_no_more_than_the_first_warm_round() {
+    let _guard = GUARD.lock().unwrap();
     let global = forecaster_model(16, 3);
     let mut client = FedClient::new("c0", global.clone(), client_samples(0));
     let cfg = TrainConfig {
@@ -57,4 +63,25 @@ fn later_rounds_allocate_no_more_than_the_first_warm_round() {
         per_round[1], per_round[2],
         "warm federated rounds drifted in allocations: {per_round:?}"
     );
+}
+
+#[test]
+fn warm_sparse_apply_into_allocates_no_matrix() {
+    let _guard = GUARD.lock().unwrap();
+    let base = vec![
+        Matrix::from_fn(4, 5, |i, j| (i as f64) * 0.3 - (j as f64) * 0.1),
+        Matrix::row_vector(&[1.0, -2.0, 0.25]),
+    ];
+    let mut update = base.clone();
+    update[0].as_mut_slice()[3] += 0.9;
+    update[1].as_mut_slice()[1] += 2.0;
+    let d = SparseDelta::top_k(&update, &base, 16);
+    let mut out = Vec::new();
+    d.apply_into(&base, &mut out);
+    // Warm reuse: same shapes, zero matrix allocations.
+    let before = alloc_stats();
+    d.apply_into(&base, &mut out);
+    let delta = alloc_stats().since(&before);
+    assert_eq!(delta.matrices, 0, "warm apply_into allocated");
+    assert_eq!(out, d.apply(&base));
 }

@@ -4,8 +4,11 @@
 //! PR 5 moved all metering onto the binary wire path (`record_bytes` plus
 //! O(1) size arithmetic), so nothing inside `FederatedSimulation::run`
 //! should ever touch `serde_json`. The vendored `serde_json` counts every
-//! `to_string`/`to_vec` process-wide; this test lives in its own
-//! integration-test binary so no parallel test can inflate the counter.
+//! `to_string`/`to_vec` process-wide; these tests live in their own
+//! integration-test binary so no other test can inflate the counter, and
+//! serialise on a local mutex so neither lands inside the other's counting
+//! window (the compression-mode test deliberately serialises once to
+//! sanity-check the counter).
 
 use evfad_federated::socket::SocketServerConfig;
 use evfad_federated::{
@@ -13,6 +16,9 @@ use evfad_federated::{
 };
 use evfad_nn::{forecaster_model, Sample};
 use evfad_tensor::Matrix;
+use std::sync::Mutex;
+
+static GUARD: Mutex<()> = Mutex::new(());
 
 fn samples(phase: f64) -> Vec<Sample> {
     (0..32)
@@ -53,6 +59,7 @@ fn run_mode(compression: CompressionMode) {
 
 #[test]
 fn socket_session_is_json_free_handshake_included() {
+    let _guard = GUARD.lock().unwrap();
     // The handshake used to ship `FederatedConfig` as JSON inside the
     // binary Welcome envelope; it is now the EVCF binary codec. The gate
     // covers the whole session — bind, Hello/Welcome handshake, rounds,
@@ -101,6 +108,7 @@ fn socket_session_is_json_free_handshake_included() {
 
 #[test]
 fn round_loop_is_json_free_in_every_compression_mode() {
+    let _guard = GUARD.lock().unwrap();
     for mode in [
         CompressionMode::None,
         CompressionMode::Quant8,

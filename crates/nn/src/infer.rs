@@ -1010,23 +1010,4 @@ mod tests {
         let model = Sequential::new(1).with(Dropout::new(0.1));
         assert!(InferenceModel::freeze(&model, Precision::F64).is_err());
     }
-
-    #[test]
-    fn warm_forward_reallocates_nothing() {
-        let model = autoencoder();
-        let mut frozen = InferenceModel::freeze(&model, Precision::F64).unwrap();
-        let samples: Vec<Matrix> = (0..5).map(|s| window(s, 6)).collect();
-        let windows = flat(&samples);
-        let mut out = Vec::new();
-        for _ in 0..2 {
-            frozen.forward_batch_into(&windows, 5, &mut out);
-        }
-        let before = evfad_tensor::alloc_stats();
-        frozen.forward_batch_into(&windows, 5, &mut out);
-        let after = evfad_tensor::alloc_stats().since(&before);
-        assert_eq!(
-            after.matrices, 0,
-            "warm batched forward allocated: {after:?}"
-        );
-    }
 }

@@ -5,7 +5,10 @@
 //! binary (own process) and serialise on a local mutex to keep the deltas
 //! attributable.
 
-use evfad_nn::{forecaster_model, Loss, Seq, Sequential};
+use evfad_nn::{
+    forecaster_model, Activation, Dense, Dropout, InferenceModel, Loss, Lstm, Precision,
+    RepeatVector, Seq, Sequential,
+};
 use evfad_tensor::{alloc_stats, AllocStats, Matrix};
 use std::sync::Mutex;
 
@@ -145,5 +148,34 @@ fn predict_into_allocates_5x_fewer_matrices_than_predict() {
     assert!(
         new.matrices * 5 <= old.matrices,
         "predict_into is not 5x leaner: old {old:?} vs new {new:?}"
+    );
+}
+
+/// A frozen model's batched forward reuses its arenas: once warm, a pass
+/// allocates no matrix at all.
+#[test]
+fn warm_forward_reallocates_nothing() {
+    let _guard = GUARD.lock().unwrap();
+    let model = Sequential::new(3)
+        .with(Lstm::new(1, 8, true))
+        .with(Dropout::new(0.2))
+        .with(Lstm::new(8, 4, false))
+        .with(RepeatVector::new(6))
+        .with(Lstm::new(4, 4, true))
+        .with(Dense::new(4, 1, Activation::Linear));
+    let mut frozen = InferenceModel::freeze(&model, Precision::F64).unwrap();
+    let windows: Vec<f64> = (0..5)
+        .flat_map(|s| (0..6).map(move |t| 0.5 + 0.4 * ((s * 7 + t * 3) as f64 * 0.37).sin()))
+        .collect();
+    let mut out = Vec::new();
+    for _ in 0..2 {
+        frozen.forward_batch_into(&windows, 5, &mut out);
+    }
+    let before = alloc_stats();
+    frozen.forward_batch_into(&windows, 5, &mut out);
+    let after = alloc_stats().since(&before);
+    assert_eq!(
+        after.matrices, 0,
+        "warm batched forward allocated: {after:?}"
     );
 }
